@@ -205,43 +205,3 @@ def test_chip_inline_fast_throughput(benchmark, e2e_trace):
 
     benchmark(run)
 
-
-@pytest.fixture(scope="module")
-def mid_replay_chip(e2e_trace):
-    """A chip halfway through the e2e record (non-trivial deep state)."""
-    from repro.kernels.specialize import replay_chip_slice
-    from repro.multicore.chip import ChipConfig, MultiCoreChip
-
-    _spec, _arrays, record = e2e_trace
-    chip = MultiCoreChip(ChipConfig())
-    half = record.records // 2
-    replay_chip_slice(
-        chip, record, 0, half, n_accesses=int(record.indices[half])
-    )
-    return chip
-
-
-def test_snapshot_capture_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.state import snapshot_chip
-
-    benchmark(lambda: len(snapshot_chip(mid_replay_chip).arrays))
-
-
-def test_snapshot_restore_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.chip import MultiCoreChip
-    from repro.multicore.state import restore_chip, snapshot_chip
-
-    snap = snapshot_chip(mid_replay_chip)
-    target = MultiCoreChip(mid_replay_chip.config)
-
-    def run():
-        restore_chip(target, snap)
-        return target.engine.active_core
-
-    benchmark(run)
-
-
-def test_chip_digest_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.state import chip_digest
-
-    benchmark(lambda: chip_digest(mid_replay_chip))

@@ -1,7 +1,7 @@
 """End-to-end chip throughput: per-access seed path vs the batched paths.
 
 Times one Table 2 pointer-chasing workload (Olden ``mst``) through
-:class:`~repro.multicore.chip.MultiCoreChip` five ways and writes
+:class:`~repro.multicore.chip.MultiCoreChip` four ways and writes
 ``benchmarks/BENCH_throughput.json``::
 
     python benchmarks/throughput_e2e.py [--scale 0.5] [--repeats 3]
@@ -18,14 +18,7 @@ Times one Table 2 pointer-chasing workload (Olden ``mst``) through
   dispatches to).  The reported number is the *warm* replay (per-record
   precompute memoised, as in any sweep replaying a record more than
   once — the same accounting as ``l1_filter_build_sec``); the cold
-  first replay is reported separately as ``specialized_cold_sec``;
-* ``segmented`` — segment-parallel replay
-  (:mod:`repro.kernels.segmented`): snapshot capture is timed
-  separately (``snapshot_capture_sec``, content-addressed and reused
-  across runs), the reported time covers restoring every snapshot,
-  replaying every segment, and digest-verifying the stitch, executed
-  in-process (``jobs=1`` — the lower bound a multi-core box divides by
-  the worker count).
+  first replay is reported separately as ``specialized_cold_sec``.
 
 Two additional *sweep* modes time the 3-variant population end to end
 (``per_job_sweep_sec`` vs ``population_sec``, ratio
@@ -70,7 +63,6 @@ import json, sys, time
 sys.path.insert(0, sys.argv[1])
 mode = sys.argv[2]
 scale = float(sys.argv[3])
-segments = int(sys.argv[4])
 from repro.experiments.workloads import workload
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 spec = workload({workload!r}, scale=scale)
@@ -187,8 +179,8 @@ elif mode == "population":
     # against it in-process — record object, slot-matrix precompute,
     # and generated kernels all shared across the population (fanning
     # over the scheduler/service instead is ``run_all --population
-    # --jobs N``: workers then share the record by fork inheritance or
-    # shared memory, at one fork per job).  The timed region covers
+    # --jobs N``: forked workers then inherit the record, at one fork
+    # per job).  The timed region covers
     # the whole call, single record load included.
     from repro.kernels.l1filter import drop_open_records, ensure_l1_filter
     from repro.kernels.sweep import evaluate_population
@@ -212,35 +204,6 @@ elif mode == "population":
     extra["record_sources"] = result.record_sources
     chip = None
     stats = None
-else:
-    from repro.kernels.l1filter import ensure_l1_filter
-    from repro.kernels.segmented import ensure_segment_snapshots, run_segmented
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.scheduler import ExperimentRuntime, RuntimeConfig
-    cache = ResultCache()
-    start = time.perf_counter()
-    record2, cached = ensure_l1_filter({workload!r}, scale=scale, cache=cache)
-    build_sec = time.perf_counter() - start
-    start = time.perf_counter()
-    ensure_segment_snapshots(
-        {workload!r}, scale=scale, segments=segments, cache=cache
-    )
-    extra["capture_sec"] = time.perf_counter() - start
-    extra["segments"] = segments
-    runtime = ExperimentRuntime(
-        RuntimeConfig(jobs=1, use_cache=False), cache=cache
-    )
-    try:
-        start = time.perf_counter()
-        stitched = run_segmented(
-            {workload!r}, scale=scale, segments=segments,
-            runtime=runtime, cache=cache,
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        runtime.close()
-    chip = None
-    stats = stitched.stats.to_dict()
 if chip is not None:
     stats = chip.stats.to_dict()
 print(json.dumps({{
@@ -252,17 +215,14 @@ print(json.dumps({{
 }}))
 """.format(workload=WORKLOAD)
 
-MODES = ("per_access", "batched", "filtered", "specialized", "segmented")
+MODES = ("per_access", "batched", "filtered", "specialized")
 #: the sweep pair: the pinned per-job path vs the population-batch path
 SWEEP_MODES = ("per_job", "population")
 
 
-def _run_once(mode: str, scale: float, segments: int) -> "dict[str, object]":
+def _run_once(mode: str, scale: float) -> "dict[str, object]":
     out = subprocess.run(
-        [
-            sys.executable, "-c", _WORKER,
-            str(REPO_SRC), mode, str(scale), str(segments),
-        ],
+        [sys.executable, "-c", _WORKER, str(REPO_SRC), mode, str(scale)],
         capture_output=True,
         text=True,
         check=True,
@@ -270,14 +230,12 @@ def _run_once(mode: str, scale: float, segments: int) -> "dict[str, object]":
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def measure(
-    scale: float, repeats: int, segments: int
-) -> "tuple[dict[str, object], bool]":
+def measure(scale: float, repeats: int) -> "tuple[dict[str, object], bool]":
     modes = MODES + SWEEP_MODES
     runs: "dict[str, list[dict[str, object]]]" = {m: [] for m in modes}
     for _ in range(repeats):  # interleaved: one round per repeat
         for mode in modes:
-            runs[mode].append(_run_once(mode, scale, segments))
+            runs[mode].append(_run_once(mode, scale))
     best = {
         mode: max(results, key=lambda r: r["refs_per_sec"])
         for mode, results in runs.items()
@@ -304,12 +262,9 @@ def measure(
         "seconds": {mode: round(r["seconds"], 3) for mode, r in best.items()},
         "l1_filter_build_sec": round(best["filtered"]["build_sec"], 3),
         "specialized_cold_sec": round(best["specialized"]["cold_sec"], 3),
-        "snapshot_capture_sec": round(best["segmented"]["capture_sec"], 3),
-        "segments": segments,
         "batched_speedup": speedup("batched"),
         "filtered_speedup": speedup("filtered"),
         "specialized_speedup": speedup("specialized"),
-        "segmented_speedup": speedup("segmented"),
         "per_job_sweep_sec": round(best["per_job"]["seconds"], 3),
         "population_sec": round(best["population"]["seconds"], 3),
         "population_speedup": round(
@@ -329,7 +284,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--segments", type=int, default=2)
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -355,7 +309,7 @@ def main(argv: "list[str] | None" = None) -> int:
         default=str(Path(__file__).parent / "BENCH_throughput.json"),
     )
     args = parser.parse_args(argv)
-    result, identical = measure(args.scale, args.repeats, args.segments)
+    result, identical = measure(args.scale, args.repeats)
     Path(args.output).write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

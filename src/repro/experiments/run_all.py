@@ -30,6 +30,7 @@ from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.speedups import project_speedups, render_speedups
 from repro.experiments.table2 import render_table2, run_table2
 from repro.experiments.workloads import WORKLOAD_NAMES
+from repro.runtime.cache import cache_root
 from repro.runtime.scheduler import ExperimentRuntime, runtime_from_args
 
 _EXPERIMENTS = ("figure3", "table1", "figures45", "table2", "speedups")
@@ -70,24 +71,13 @@ def _run_experiment(
     # invocation selecting both simulates each workload once even with
     # the cache disabled.
     if "rows" not in table2_memo:
-        if args.segments:
-            from repro.experiments.table2 import run_table2_segmented
-
-            table2_memo["rows"] = run_table2_segmented(
-                args.workloads,
-                scale=args.scale,
-                seed=args.seed,
-                runtime=runtime,
-                segments=args.segments,
-            )
-        else:
-            table2_memo["rows"] = run_table2(
-                args.workloads,
-                scale=args.scale,
-                seed=args.seed,
-                runtime=runtime,
-                obs_dir=args.obs,
-            )
+        table2_memo["rows"] = run_table2(
+            args.workloads,
+            scale=args.scale,
+            seed=args.seed,
+            runtime=runtime,
+            obs_dir=args.obs,
+        )
     if experiment == "table2":
         return render_table2(table2_memo["rows"])
     if experiment == "speedups":
@@ -147,17 +137,8 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="run the variant population sweep instead of the paper "
         "experiments: every chip variant replays one shared L1-filter "
-        "record per workload (fork-inherited or shared-memory; see "
-        "docs/performance.md)",
-    )
-    parser.add_argument(
-        "--segments",
-        type=int,
-        default=None,
-        metavar="K",
-        help="replay the table2/speedups chip pass segment-parallel: "
-        "capture K exact snapshots per workload and fan one runtime "
-        "job per segment (digest-verified stitch; bit-identical rows)",
+        "record per workload, loaded once and shared with in-process "
+        "jobs and forked workers (see docs/performance.md)",
     )
     parser.add_argument(
         "--timeout",
@@ -173,7 +154,9 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or .repro-cache)",
+        help="cache root for results, L1-filter sidecars and trace memos "
+        "(default: $REPRO_CACHE_DIR or .repro-cache); --no-cache still "
+        "reads and writes sidecars and trace memos here",
     )
     parser.add_argument(
         "--runlog",
@@ -219,14 +202,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.segments is not None and args.segments < 1:
-        parser.error(f"--segments must be >= 1, got {args.segments}")
-    if args.segments and args.obs:
-        parser.error(
-            "--segments replays the chip pass through the probe-free "
-            "specialized kernels; --obs needs instrumented runs and "
-            "cannot be combined with it"
-        )
     if args.server and (args.obs or args.profile or args.checkpoint):
         parser.error(
             "--server executes on the remote service; --obs/--profile/"
@@ -246,6 +221,12 @@ def main(argv: "list[str] | None" = None) -> int:
     selected = (
         ["population"] if args.population else (args.only or list(_EXPERIMENTS))
     )
+    with cache_root(args.cache_dir):
+        return _run(args, selected)
+
+
+def _run(args: argparse.Namespace, selected: "list[str]") -> int:
+    """Run the ``selected`` experiments; the exit code."""
     profile_dir = None
     if args.profile:
         from pathlib import Path

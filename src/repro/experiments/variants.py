@@ -118,13 +118,12 @@ def run_population(
     seed: "int | None" = None,
     runtime=None,
     variants: "Sequence[str]" = VARIANT_NAMES,
-    share_memory: bool = True,
 ):
     """Population-batch twin of :func:`run_sweep`.
 
     Delegates to :func:`repro.kernels.sweep.evaluate_population`: the
     L1-filter record is materialised once in the coordinating process
-    and shared with workers (fork inheritance or shared memory) instead
+    and shared with in-process jobs and forked workers instead
     of each variant job re-reading the sidecar.  Returns the
     :class:`~repro.kernels.sweep.PopulationResult`; ``result.rows`` is
     render-compatible with :func:`render_sweep`.
@@ -132,12 +131,7 @@ def run_population(
     from repro.kernels.sweep import evaluate_population
 
     return evaluate_population(
-        name,
-        variants,
-        scale=scale,
-        seed=seed,
-        runtime=runtime,
-        share_memory=share_memory,
+        name, variants, scale=scale, seed=seed, runtime=runtime
     )
 
 

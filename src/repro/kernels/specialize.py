@@ -42,11 +42,7 @@ Exactness contract: replaying through a specialized kernel leaves the
 chip in **bit-identical** state to the per-access seed simulator —
 ``ChipStats``, per-cache ``CacheStats`` and contents, controller,
 affinity store, filters, and update-bus bytes (the differential suite
-in ``tests/kernels`` enforces this).  The kernel also exposes a slice
-API (:func:`replay_chip_slice`): replaying ``[0, n)`` in any partition
-of consecutive slices is state-identical to one full replay, which is
-the property segment-parallel replay (:mod:`repro.kernels.segmented`)
-is built on.
+in ``tests/kernels`` enforces this).
 """
 
 from __future__ import annotations
@@ -721,7 +717,7 @@ for {loop_vars} in zip({zip_args}):
     fetch_misses, load_misses, store_hits, store_misses = kind_counts
     stats = chip.stats
     stats.accesses += n_accesses
-    if max_instruction is not None and max_instruction >= stats.instructions:
+    if max_instruction >= stats.instructions:
         stats.instructions = max_instruction + 1
     stats.il1_misses += fetch_misses
     stats.dl1_misses += load_misses + store_misses
@@ -772,7 +768,7 @@ def _record_base(record):
         base = (
             record.lines.tolist(),
             (kinds_np >= 2).astype(np.uint8).tobytes(),
-            _kind_counts(kinds_np, 0, len(kinds_np)),
+            _kind_counts(kinds_np),
         )
         record.__dict__[_BASE_ATTR] = base
     return base
@@ -858,79 +854,16 @@ def _precompute(record, chip, sig):
     return (rec_line, cols, w_b, c_b, full_counts, st_cols)
 
 
-def _kind_counts(kinds_np, start, end):
-    ks = kinds_np[start:end]
+def _kind_counts(kinds_np):
     return (
-        int(np.count_nonzero(ks == 0)),
-        int(np.count_nonzero(ks == 1)),
-        int(np.count_nonzero(ks == 2)),
-        int(np.count_nonzero(ks == 3)),
+        int(np.count_nonzero(kinds_np == 0)),
+        int(np.count_nonzero(kinds_np == 1)),
+        int(np.count_nonzero(kinds_np == 2)),
+        int(np.count_nonzero(kinds_np == 3)),
     )
 
 
 # -- public replay API --------------------------------------------------
-
-
-def replay_chip_slice(
-    chip,
-    record,
-    start: int,
-    end: int,
-    *,
-    n_accesses: "int | None" = None,
-    max_instruction: "int | None" = None,
-):
-    """Replay records ``[start, end)`` of ``record`` through ``chip``.
-
-    ``n_accesses`` is the number of *original trace accesses* this
-    slice accounts for (``record.indices`` spans); it defaults to the
-    whole record's access count, which is only correct for a full
-    ``[0, n)`` replay.  ``max_instruction`` applies the record's
-    instruction high-water mark — pass it on the final slice only
-    (instruction counts are monotonic, so the final value is exact).
-
-    Replaying ``[0, n)`` as any sequence of consecutive slices leaves
-    the chip bit-identical to a single full replay.
-    """
-    record.require_match(chip.config.caches)
-    if not _chip_fast_eligible(chip):
-        raise ValueError(
-            "chip is not specializable (probe, prefetcher, or "
-            "non-standard component); use run_filtered instead"
-        )
-    n = len(record.lines)
-    if not 0 <= start <= end <= n:
-        raise ValueError(f"bad slice [{start}, {end}) of {n} records")
-    sig = chip_signature(chip)
-    kernel = _kernel_for(sig)
-    rec_line, cols, w_b, c_b, full_counts, st_cols = _precompute(
-        record, chip, sig
-    )
-    full = start == 0 and end == n
-    if full:
-        seq_line, seq_w, seq_c = rec_line, w_b, c_b
-        kind_counts = full_counts
-    else:
-        seq_line = rec_line[start:end]
-        seq_w = w_b[start:end]
-        seq_c = c_b[start:end] if c_b is not None else None
-        kind_counts = _kind_counts(record.kinds, start, end)
-    if n_accesses is None:
-        n_accesses = record.accesses
-    migration = sig[1]
-    if migration:
-        records_span = end - start
-        ctrl_references = records_span - kind_counts[2]
-        x_refs = seq_c.count(1)
-        sampled = x_refs + (seq_c.count(2) if sig[2] else 0)
-        ctrl_counts = (ctrl_references, sampled, x_refs)
-    else:
-        ctrl_counts = (0, 0, 0)
-    kernel(
-        chip, seq_line, seq_w, seq_c, cols, st_cols, start, end,
-        n_accesses, max_instruction, kind_counts, ctrl_counts,
-    )
-    return chip.stats
 
 
 def replay_chip_specialized(chip, record):
@@ -940,14 +873,29 @@ def replay_chip_specialized(chip, record):
     state, selected automatically by ``run_chip_filtered`` when the
     chip is eligible.
     """
-    return replay_chip_slice(
-        chip,
-        record,
-        0,
-        len(record.lines),
-        n_accesses=record.accesses,
-        max_instruction=record.max_instruction,
+    record.require_match(chip.config.caches)
+    if not _chip_fast_eligible(chip):
+        raise ValueError(
+            "chip is not specializable (probe, prefetcher, or "
+            "non-standard component); use run_filtered instead"
+        )
+    sig = chip_signature(chip)
+    kernel = _kernel_for(sig)
+    seq_line, cols, seq_w, seq_c, kind_counts, st_cols = _precompute(
+        record, chip, sig
     )
+    n = len(seq_line)
+    if sig[1]:  # migration enabled
+        x_refs = seq_c.count(1)
+        sampled = x_refs + (seq_c.count(2) if sig[2] else 0)
+        ctrl_counts = (n - kind_counts[2], sampled, x_refs)
+    else:
+        ctrl_counts = (0, 0, 0)
+    kernel(
+        chip, seq_line, seq_w, seq_c, cols, st_cols, 0, n,
+        record.accesses, record.max_instruction, kind_counts, ctrl_counts,
+    )
+    return chip.stats
 
 
 # -- the single-core baseline's specialized replay ----------------------

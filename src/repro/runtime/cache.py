@@ -21,7 +21,9 @@ Integrity and degradation (the properties the chaos suite enforces):
   going, it just stops persisting — again counted, never fatal.
 
 The cache root defaults to ``$REPRO_CACHE_DIR`` or ``.repro-cache`` in
-the working directory.
+the working directory; the same root holds the L1-filter sidecars and
+trace memos.  :func:`cache_root` makes a chosen root the default for a
+block of code and every worker it starts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -76,6 +79,29 @@ def code_fingerprint() -> str:
 
 def default_cache_root() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
+
+
+@contextmanager
+def cache_root(root: "str | os.PathLike[str] | None") -> Iterator[None]:
+    """Make ``root`` the default cache root inside the block.
+
+    Sets ``$REPRO_CACHE_DIR``, so in-process jobs and every worker
+    started inside the block (forked or spawned) resolve result
+    artifacts, L1-filter sidecars and trace memos under the same root;
+    the previous value is restored on exit.  ``None`` changes nothing.
+    """
+    if root is None:
+        yield
+        return
+    previous = os.environ.get(CACHE_DIR_ENV)
+    os.environ[CACHE_DIR_ENV] = str(root)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(CACHE_DIR_ENV, None)
+        else:
+            os.environ[CACHE_DIR_ENV] = previous
 
 
 @dataclass(frozen=True)

@@ -92,3 +92,31 @@ class TestCli:
             ]
         ) == 0
         assert list((obs / "profiles").glob("*.prof"))
+
+    def test_cache_dir_holds_sidecars_and_trace_memos(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.runtime.cache import CACHE_DIR_ENV
+
+        work = tmp_path / "work"
+        work.mkdir()
+        cache = tmp_path / "X"
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        assert main(
+            [
+                "--only", "table2",
+                "--workloads", "mst",
+                "--scale", "0.005",
+                "--jobs", "1",
+                "--quiet",
+                "--cache-dir", str(cache),
+            ]
+        ) == 0
+        # nothing lands in the working directory's default cache root
+        assert not (work / ".repro-cache").exists()
+        assert list(cache.glob("*/*.l1f.npz"))
+        # an in-process call leaves the default cache root as it was
+        assert CACHE_DIR_ENV not in os.environ

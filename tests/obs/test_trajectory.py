@@ -25,18 +25,16 @@ class TestGatingRules:
         assert is_gated("speedup.l2_only")
         assert is_gated("refs_per_sec.filtered")
 
-    def test_specialized_and_segmented_keys_are_gated(self):
-        # The BENCH_throughput.json keys added with the specialized /
-        # segment-parallel replay paths must ride the existing gate.
+    def test_specialized_and_population_keys_are_gated(self):
+        # The BENCH_throughput.json keys of the specialized replay and
+        # population sweep paths must ride the existing gate.
         assert is_gated("specialized_speedup")
-        assert is_gated("segmented_speedup")
+        assert is_gated("population_speedup")
         assert is_gated("refs_per_sec.specialized")
-        assert is_gated("refs_per_sec.segmented")
         assert is_gated("refs_per_sec.per_access")
         # ...while their cost-accounting side-cars stay ungated noise.
         assert not is_gated("specialized_cold_sec")
-        assert not is_gated("snapshot_capture_sec")
-        assert not is_gated("segments")
+        assert not is_gated("l1_filter_build_sec")
 
     def test_noise_and_context_paths_are_not(self):
         assert not is_gated("elapsed_s")
