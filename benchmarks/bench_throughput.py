@@ -5,10 +5,9 @@ the structures everything else is built on.  They exist to catch
 performance regressions in the simulator itself — the paper
 reproductions above are throughput-bound on exactly these loops.
 
-Each per-access loop is paired with its batched counterpart from
-:mod:`repro.kernels` (``access_many`` / ``process_many`` /
-``run_arrays`` / ``run_filtered``) so a session's JSON shows the
-batched paths staying ahead.  The end-to-end chip pair (a Table 2
+The mechanism and chip loops are paired with their batched
+counterparts (``process_many`` / ``run_arrays`` / ``run_filtered``) so
+a session's JSON shows the batched paths staying ahead.  The end-to-end chip pair (a Table 2
 mst-class workload through ``chip.run`` vs the batched fast path) is
 what ``benchmarks/throughput_e2e.py`` distils into
 ``BENCH_throughput.json`` for CI.
@@ -61,15 +60,6 @@ def test_fully_associative_cache_throughput(benchmark, refs):
     benchmark(run)
 
 
-def test_fully_associative_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = FullyAssociativeCache(1024)
-        cache.access_many(refs)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
 def test_set_associative_cache_throughput(benchmark, refs):
     def run():
         cache = SetAssociativeCache(256, 4)
@@ -80,29 +70,11 @@ def test_set_associative_cache_throughput(benchmark, refs):
     benchmark(run)
 
 
-def test_set_associative_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = SetAssociativeCache(256, 4)
-        cache.access_many(refs)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
 def test_skewed_cache_throughput(benchmark, refs):
     def run():
         cache = SkewedAssociativeCache(256, 4)
         for line in refs:
             cache.access(line)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
-def test_skewed_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = SkewedAssociativeCache(256, 4)
-        cache.access_many(refs)
         return cache.stats.misses
 
     benchmark(run)
@@ -184,24 +156,3 @@ def test_chip_filtered_throughput(benchmark, e2e_trace):
         return chip.stats.l2_misses
 
     benchmark(run)
-
-
-def test_chip_inline_fast_throughput(benchmark, e2e_trace):
-    """The pre-specialization inline kernel, kept as the reference twin
-    (``run_filtered`` itself now dispatches to the generated kernel)."""
-    from repro.kernels.batch import _replay_chip_fast
-    from repro.multicore.chip import ChipConfig, MultiCoreChip
-
-    _spec, _arrays, record = e2e_trace
-    rec_line = record.lines.tolist()
-    rec_kind = record.kinds.tolist()
-
-    def run():
-        chip = MultiCoreChip(ChipConfig())
-        _replay_chip_fast(
-            chip, rec_line, rec_kind, record.accesses, record.max_instruction
-        )
-        return chip.stats.l2_misses
-
-    benchmark(run)
-

@@ -69,43 +69,6 @@ class FullyAssociativeCache:
             self._install(line, dirty=write)
         return False
 
-    def access_many(self, lines, write: bool = False, allocate: bool = True) -> int:
-        """Batched :meth:`access` over ``lines``; returns the hit count.
-
-        Bit-identical to the per-line loop; see
-        :meth:`repro.caches.set_assoc.SetAssociativeCache.access_many`.
-        """
-        cached = self._lines
-        capacity = self.capacity_lines
-        hits = accesses = evictions = writebacks = 0
-        last = None
-        for line in lines:
-            accesses += 1
-            last = None
-            if line in cached:
-                hits += 1
-                cached.move_to_end(line)
-                if write:
-                    cached[line] = True
-                continue
-            if allocate:
-                if len(cached) >= capacity:
-                    victim, victim_dirty = cached.popitem(False)
-                    evictions += 1
-                    if victim_dirty:
-                        writebacks += 1
-                    last = EvictedLine(victim, victim_dirty)
-                cached[line] = write
-        if accesses:
-            stats = self.stats
-            stats.accesses += accesses
-            stats.hits += hits
-            stats.misses += accesses - hits
-            stats.evictions += evictions
-            stats.writebacks += writebacks
-            self.last_eviction = last
-        return hits
-
     def _install(self, line: int, dirty: bool) -> None:
         lines = self._lines
         if len(lines) >= self.capacity_lines:

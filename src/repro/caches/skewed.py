@@ -125,73 +125,6 @@ class SkewedAssociativeCache:
             self._install(line, dirty=write)
         return False
 
-    def access_many(self, lines, write: bool = False, allocate: bool = True) -> int:
-        """Batched :meth:`access` over ``lines``; returns the hit count.
-
-        The skew hashes for the whole batch are computed in one
-        vectorised pass (:func:`repro.kernels.arrays.skew_slot_matrix`);
-        the loop itself is bit-identical to per-line :meth:`access`.
-        """
-        import numpy as np
-
-        from repro.kernels.arrays import skew_slot_matrix
-
-        line_list = np.asarray(lines, dtype=np.int64).tolist()
-        slot_rows = skew_slot_matrix(line_list, self.num_sets, self.ways).tolist()
-        cache_lines = self._lines
-        cache_dirty = self._dirty
-        cache_time = self._time
-        clock = self._clock
-        hits = evictions = writebacks = 0
-        last = None
-        for line, srow in zip(line_list, slot_rows):
-            clock += 1
-            last = None
-            hit_slot = -1
-            for slot in srow:
-                if cache_lines[slot] == line:
-                    hit_slot = slot
-                    break
-            if hit_slot >= 0:
-                hits += 1
-                cache_time[hit_slot] = clock
-                if write:
-                    cache_dirty[hit_slot] = True
-                continue
-            if allocate:
-                victim = -1
-                victim_time = None
-                for slot in srow:
-                    if cache_lines[slot] is None:
-                        victim = slot
-                        victim_time = None
-                        break
-                    slot_time = cache_time[slot]
-                    if victim_time is None or slot_time < victim_time:
-                        victim = slot
-                        victim_time = slot_time
-                victim_line = cache_lines[victim]
-                if victim_line is not None:
-                    evictions += 1
-                    victim_dirty = cache_dirty[victim]
-                    if victim_dirty:
-                        writebacks += 1
-                    last = EvictedLine(victim_line, victim_dirty)
-                cache_lines[victim] = line
-                cache_dirty[victim] = write
-                cache_time[victim] = clock
-        accesses = len(line_list)
-        if accesses:
-            stats = self.stats
-            stats.accesses += accesses
-            stats.hits += hits
-            stats.misses += accesses - hits
-            stats.evictions += evictions
-            stats.writebacks += writebacks
-            self._clock = clock
-            self.last_eviction = last
-        return hits
-
     def _install(self, line: int, dirty: bool) -> None:
         victim_slot = -1
         victim_time = None

@@ -30,6 +30,7 @@ from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.speedups import project_speedups, render_speedups
 from repro.experiments.table2 import render_table2, run_table2
 from repro.experiments.workloads import WORKLOAD_NAMES
+from repro.obs import trace_context
 from repro.runtime.cache import cache_root
 from repro.runtime.scheduler import ExperimentRuntime, runtime_from_args
 
@@ -221,7 +222,7 @@ def main(argv: "list[str] | None" = None) -> int:
     selected = (
         ["population"] if args.population else (args.only or list(_EXPERIMENTS))
     )
-    with cache_root(args.cache_dir):
+    with cache_root(args.cache_dir), trace_context.root_scope():
         return _run(args, selected)
 
 

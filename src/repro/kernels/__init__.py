@@ -1,11 +1,10 @@
 """Batched simulation kernels: the array-native fast path.
 
-The per-access simulator (``MultiCoreChip.access``) is convenient but
-pays Python interpreter overhead for every memory reference.  This
-package drives the same models from parallel numpy arrays in chunks,
-with attribute lookups hoisted and the line-size division vectorised —
-**bit-identical** to the per-access path (enforced by the differential
-tests in ``tests/kernels``).
+The per-access simulator (``MultiCoreChip.access``) is the reference
+semantics; it pays Python interpreter overhead for every memory
+reference.  This package replays the same models from numpy arrays and
+L1-filter records instead — **bit-identical** to the per-access path
+(enforced by the differential tests in ``tests/kernels``).
 
 Layers:
 
@@ -17,9 +16,16 @@ Layers:
   that every chip variant in a sweep replays (paper section 2.3: "the
   L1 miss frequency is the same as if execution had not migrated", so
   the L1 stage is identical across baseline/migration/ablations).
-* :mod:`repro.kernels.batch` — the batched chip and hierarchy drivers
-  behind ``MultiCoreChip.run_arrays`` / ``run_filtered`` and
-  ``SingleCoreHierarchy.run_arrays`` / ``run_filtered``.
+* :mod:`repro.kernels.specialize` — the fast path: replay kernels
+  generated per chip shape (and per baseline L2 associativity).
+* :mod:`repro.kernels.batch` — the dispatch behind
+  ``MultiCoreChip.run_arrays`` / ``run_filtered`` and
+  ``SingleCoreHierarchy.run_arrays`` / ``run_filtered``: ``run_arrays``
+  filters the trace through the model's own L1s into a record, and a
+  record replays through the specialized kernel when the model is
+  eligible, else through a generic replay over the model's own
+  methods (probes, prefetchers, non-standard components).
+* :mod:`repro.kernels.sweep` — population sweeps sharing one record.
 
 See ``docs/performance.md`` for the architecture and measured numbers.
 """

@@ -50,6 +50,7 @@ from repro.obs.metrics import process_counter
 from repro.caches.fully_assoc import FullyAssociativeCache
 from repro.caches.hierarchy import CoreCacheConfig
 from repro.caches.set_assoc import SetAssociativeCache
+from repro.kernels.arrays import as_trace_arrays
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_counter
 from repro.runtime.job import Job
@@ -311,21 +312,14 @@ class L1FilterRecord:
             )
 
 
-def build_l1_filter(
-    addresses,
-    kinds,
-    instructions,
-    config: "CoreCacheConfig | None" = None,
+def _filter_record(
+    il1, dl1, config: CoreCacheConfig, addresses, kinds, instructions
 ) -> L1FilterRecord:
-    """Filter one trace through fresh L1s built from ``config``."""
-    from repro.kernels.arrays import as_trace_arrays
-
-    config = config or CoreCacheConfig()
+    """Run one trace through ``il1``/``dl1`` and package the miss
+    stream as a record of ``config``'s L1 geometry."""
     addresses, kinds, instructions = as_trace_arrays(
         addresses, kinds, instructions
     )
-    il1 = config.make_l1(config.il1_bytes)
-    dl1 = config.make_l1(config.dl1_bytes)
     rec_index, rec_line, rec_kind = l1_miss_stream(
         il1, dl1, addresses, kinds, config.line_size
     )
@@ -339,6 +333,24 @@ def build_l1_filter(
         indices=np.asarray(rec_index, dtype=np.int64),
         lines=np.asarray(rec_line, dtype=np.int64),
         kinds=np.asarray(rec_kind, dtype=np.uint8),
+    )
+
+
+def build_l1_filter(
+    addresses,
+    kinds,
+    instructions,
+    config: "CoreCacheConfig | None" = None,
+) -> L1FilterRecord:
+    """Filter one trace through fresh L1s built from ``config``."""
+    config = config or CoreCacheConfig()
+    return _filter_record(
+        config.make_l1(config.il1_bytes),
+        config.make_l1(config.dl1_bytes),
+        config,
+        addresses,
+        kinds,
+        instructions,
     )
 
 

@@ -1,16 +1,15 @@
 """Trace-specialized chip replay kernels (generated per chip shape).
 
-The batched fast path in :mod:`repro.kernels.batch` is one inline loop
-covering *every* eligible chip: each per-miss iteration still pays for
-configuration branches (L2 filtering on/off, 2-way vs 4-way routing,
-store kind, exact-window tracking) and closure indirection.  This
-module generates the inner loop **per chip shape** instead: every
-configuration branch is hoisted out of the loop at code-generation
-time, the mechanism/filter/store state lives in flat locals, L2
-residency is tracked in per-core ``line -> slot`` dicts (an O(1) hit
-check replacing the per-way tag scan), and per-record clocks are
-derived from the loop index instead of incremented (the LRU timestamp
-of record ``i`` in a reign is ``cbase + i``).
+The fast path behind ``run_filtered`` and ``run_arrays``: one replay
+loop over an L1-filter record, generated **per chip shape** so that no
+per-miss iteration pays for configuration branches (L2 filtering
+on/off, 2-way vs 4-way routing, store kind, exact-window tracking).
+Every configuration branch is hoisted out of the loop at codegen time,
+the mechanism/filter/store state lives in flat locals, L2 residency is
+tracked in per-core ``line -> slot`` dicts (an O(1) hit check
+replacing the per-way tag scan), and per-record clocks are derived
+from the loop index instead of incremented (the LRU timestamp of
+record ``i`` in a reign is ``cbase + i``).
 
 The **shape signature** — the dispatch key — is::
 
@@ -35,11 +34,10 @@ long-lived service processes stay bounded.
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
 kernel for the skewed L2 of ``SingleCoreHierarchy`` (dict-based
-residency, index-derived clocks, precomputed slot columns) — the
-inline loop in :mod:`repro.kernels.batch` stays as its reference twin.
+residency, index-derived clocks, precomputed slot columns).
 
 Exactness contract: replaying through a specialized kernel leaves the
-chip in **bit-identical** state to the per-access seed simulator —
+chip in **bit-identical** state to the per-access object model —
 ``ChipStats``, per-cache ``CacheStats`` and contents, controller,
 affinity store, filters, and update-bus bytes (the differential suite
 in ``tests/kernels`` enforces this).
@@ -56,12 +54,10 @@ from repro.caches.skewed import skew_hash
 from repro.core.affinity_store import AffinityCache
 from repro.core.mechanism import RWindowEntry
 from repro.kernels.arrays import skew_slot_matrix
-from repro.kernels.batch import (
-    _UNSET,
-    _chip_fast_eligible,
-    _hierarchy_fast_eligible,
-)
+from repro.kernels.batch import _chip_fast_eligible, _hierarchy_fast_eligible
 from repro.obs.metrics import process_counter
+
+_UNSET = object()  # "cache never accessed here" sentinel for last_eviction
 
 _PRECOMP_ATTR = "_specialized_precomp"
 _BASE_ATTR = "_specialized_base"
@@ -74,8 +70,7 @@ _KERNELS: dict = {}
 
 
 def specializable(chip) -> bool:
-    """Whether a specialized kernel is exact for this chip (same
-    eligibility as the inline fast path)."""
+    """Whether a specialized kernel is exact for this chip."""
     return _chip_fast_eligible(chip)
 
 
@@ -869,9 +864,8 @@ def _kind_counts(kinds_np):
 def replay_chip_specialized(chip, record):
     """Full-record replay through the chip's specialized kernel.
 
-    Drop-in equivalent of the inline fast path: bit-identical final
-    state, selected automatically by ``run_chip_filtered`` when the
-    chip is eligible.
+    Bit-identical final state to the per-access model; selected
+    automatically by ``run_chip_filtered`` when the chip is eligible.
     """
     record.require_match(chip.config.caches)
     if not _chip_fast_eligible(chip):
@@ -900,21 +894,18 @@ def replay_chip_specialized(chip, record):
 
 # -- the single-core baseline's specialized replay ----------------------
 #
-# The baseline hierarchy replays a record through one skewed L2; the
-# inline loop in repro.kernels.batch (_replay_hierarchy_fast, the
-# reference twin) scans the slot row per record and recomputes the
-# whole slot matrix per call.  The generated kernel below applies the
-# chip kernel's tricks — dict-based residency for an O(1) hit check,
-# timestamps derived from the loop index, slot *columns* memoised on
-# the record — and is selected by ``run_hierarchy_filtered`` whenever
-# the hierarchy is fast-eligible.
+# The baseline hierarchy replays a record through one skewed L2.  The
+# generated kernel below applies the chip kernel's tricks — dict-based
+# residency for an O(1) hit check, timestamps derived from the loop
+# index, slot *columns* memoised on the record — and is selected by
+# ``run_hierarchy_filtered`` whenever the hierarchy is fast-eligible.
 
 #: l2 ways -> (compiled kernel, generated source)
 _HIER_KERNELS: dict = {}
 
 
 def hierarchy_specializable(hierarchy) -> bool:
-    """Same eligibility as the inline hierarchy fast path."""
+    """Whether the specialized baseline kernel is exact here."""
     return _hierarchy_fast_eligible(hierarchy)
 
 
@@ -1007,10 +998,10 @@ def _hier_cols(record, num_sets: int, ways: int):
 def replay_hierarchy_specialized(hierarchy, record):
     """Full-record replay through the baseline's specialized kernel.
 
-    Drop-in equivalent of the inline hierarchy fast path: bit-identical
-    final state (L2 contents, timestamps, clock, ``last_eviction``,
-    every stat), selected automatically by ``run_hierarchy_filtered``
-    when the hierarchy is eligible.
+    Bit-identical final state to the per-access model (L2 contents,
+    timestamps, clock, ``last_eviction``, every stat); selected
+    automatically by ``run_hierarchy_filtered`` when the hierarchy is
+    eligible.
     """
     record.require_match(hierarchy.config)
     if not _hierarchy_fast_eligible(hierarchy):

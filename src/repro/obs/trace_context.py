@@ -135,6 +135,31 @@ def set_root(ctx: TraceContext) -> None:
     os.environ[TRACE_ENV] = json.dumps(ctx.to_dict(), sort_keys=True)
 
 
+@contextmanager
+def root_scope():
+    """Confine the process root to the block.
+
+    Whatever root the block adopts or mints (and mirrors into
+    ``REPRO_TRACE``) is forgotten on exit: the previous root and
+    environment value come back, so the next sweep in this process
+    mints its own trace instead of joining this one.  A root inherited
+    from the environment on entry is still adopted inside the block.
+    """
+    global _root
+    with _lock:
+        previous_root = _root
+    previous_env = os.environ.get(TRACE_ENV)
+    try:
+        yield
+    finally:
+        with _lock:
+            _root = previous_root
+        if previous_env is None:
+            os.environ.pop(TRACE_ENV, None)
+        else:
+            os.environ[TRACE_ENV] = previous_env
+
+
 def current() -> "TraceContext | None":
     """This thread's active context, else the process root, else None."""
     ctx = getattr(_active, "ctx", None)

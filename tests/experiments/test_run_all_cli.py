@@ -120,3 +120,30 @@ class TestCli:
         assert list(cache.glob("*/*.l1f.npz"))
         # an in-process call leaves the default cache root as it was
         assert CACHE_DIR_ENV not in os.environ
+
+    def test_each_main_call_gets_its_own_trace(self, capsys, tmp_path):
+        import json
+        import os
+
+        before = dict(os.environ)
+        trace_ids = []
+        for run in ("first", "second"):
+            runlog = tmp_path / f"{run}.jsonl"
+            assert main(
+                [
+                    "--only", "table1",
+                    "--workloads", "bisort",
+                    "--scale", "0.05",
+                    "--no-cache", "--quiet",
+                    "--runlog", str(runlog),
+                ]
+            ) == 0
+            ids = {
+                json.loads(line)["trace_id"]
+                for line in runlog.read_text().splitlines()
+            }
+            assert len(ids) == 1
+            trace_ids.append(ids.pop())
+            # an in-process call leaves the environment as it was
+            assert dict(os.environ) == before
+        assert trace_ids[0] != trace_ids[1]

@@ -38,6 +38,17 @@ def make_trace(steps, line_size=64):
     return accesses, (addresses, kinds, instructions)
 
 
+def trace_accesses(arrays):
+    """The ``Access`` list of a trace given as parallel arrays."""
+    addresses, kinds, instructions = arrays
+    return [
+        Access(a, AccessKind(k), i)
+        for a, k, i in zip(
+            addresses.tolist(), kinds.tolist(), instructions.tolist()
+        )
+    ]
+
+
 def cache_state(cache):
     state = {
         "stats": asdict(cache.stats),

@@ -1,32 +1,40 @@
-"""Differential tests: the batched fast paths vs the seed per-access
-path, compared on full deep state (see ``helpers.py``).
+"""Differential tests: the batched paths vs the seed per-access path,
+compared on full deep state (see ``helpers.py``).
 
 Hypothesis drives random mixed FETCH/LOAD/STORE traces through three
-executions of every model — ``run`` (seed), ``run_arrays`` (batched)
-and ``run_filtered`` (L1-filter replay, which dispatches to the
-generated specialized kernel) — and requires indistinguishable final
-state; the fast-eligible chip cases additionally pin the retired
-inline kernel (``run_legacy_inline``) to the same digests.  The filtered path is compared without the L1 cache
-objects: the record *replaces* the model's L1 pair by contract, so
-the replaying model's il1/dl1 stay untouched while its ``ChipStats``
-(including the L1 miss counters) must still match exactly.  The fixed
-cases pin the configurations the fast path must
-*bypass* correctly (prefetchers, probes) or handle structurally
-(2-way controller, migration disabled, fully-associative L1s).
+executions of every model — ``run`` (seed), ``run_arrays`` (the trace
+filtered through the model's own L1s, then replayed as a record) and
+``run_filtered`` (L1-filter replay, which dispatches to the generated
+specialized kernel) — and requires indistinguishable final state.  The
+filtered path is compared without the L1 cache objects: the record
+*replaces* the model's L1 pair by contract, so the replaying model's
+il1/dl1 stay untouched while its ``ChipStats`` (including the L1 miss
+counters) must still match exactly.  The fixed cases pin the
+configurations the specialized kernel must *bypass* correctly
+(prefetchers, probes, L1 types the miss-stream kernel does not model)
+or handle structurally (2-way controller, migration disabled,
+fully-associative L1s), and a model that runs several traces in a row
+must keep its probe clock across the calls.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
+from repro.caches.set_assoc import SetAssociativeCache
 from repro.core.controller import ControllerConfig
 from repro.kernels.l1filter import build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
+from repro.obs import SimProbe
 from tests.kernels.helpers import (
     chip_state,
     hierarchy_state,
     make_trace,
+    trace_accesses,
     without_l1,
 )
 
@@ -53,29 +61,6 @@ def run_three_ways(make_model, accesses, arrays, config=None):
     return seed, batched, filtered
 
 
-def run_legacy_inline(make_model, arrays):
-    """The pre-specialization inline chip kernel over the same record.
-
-    ``run_filtered`` now dispatches to the generated specialized kernel
-    (:mod:`repro.kernels.specialize`); the inline twin stays behind as
-    an independent reference implementation, and this keeps it pinned
-    to the seed path so a divergence in *either* kernel turns the
-    differential red.
-    """
-    from repro.kernels.batch import _replay_chip_fast
-
-    record = build_l1_filter(*arrays)
-    chip = make_model()
-    _replay_chip_fast(
-        chip,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
-    return chip
-
-
 class TestChipDifferential:
     @given(steps=steps_strategy)
     @settings(max_examples=30, deadline=None)
@@ -86,8 +71,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(ChipConfig()), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -107,8 +90,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -120,8 +101,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -134,8 +113,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=10, deadline=None)
@@ -258,3 +235,100 @@ def test_olden_workload_differential():
     filtered.run_filtered(build_l1_filter(*arrays))
     assert chip_state(batched) == chip_state(seed)
     assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
+
+
+# -- several runs into one model ----------------------------------------
+
+#: the second run starts mid-trace, off any sample threshold
+CLOCK_CUT = 17_001
+
+
+def _clock_arrays(n=30_000, line_size=64):
+    """A deterministic mixed trace over more lines than the L1s hold."""
+    rng = np.random.default_rng(7)
+    lines = rng.integers(0, 4000, size=n, dtype=np.int64)
+    kinds = rng.integers(0, 3, size=n).astype(np.int8)
+    instructions = np.cumsum(rng.integers(0, 4, size=n, dtype=np.int64))
+    return lines * line_size + 4, kinds, instructions
+
+
+def _split_record(record, instructions, cut):
+    """``record`` as the two records the trace's halves would give when
+    filtered one after the other through the same L1 pair."""
+    first = record.indices < cut
+    halves = []
+    for mask, offset, part in (
+        (first, 0, instructions[:cut]),
+        (~first, cut, instructions[cut:]),
+    ):
+        halves.append(
+            replace(
+                record,
+                accesses=len(part),
+                max_instruction=int(part.max()) if len(part) else -1,
+                indices=record.indices[mask] - offset,
+                lines=record.lines[mask],
+                kinds=record.kinds[mask],
+            )
+        )
+    return halves
+
+
+def _report(probe):
+    return json.dumps(probe.report().to_dict(), sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("model", ["chip", "hierarchy"])
+@pytest.mark.parametrize("mode", ["filtered", "arrays"])
+def test_probe_clock_continues_across_runs(mode, model):
+    """A second replay into a probed model numbers its accesses after
+    the first one's, exactly like the per-access model running the
+    whole trace."""
+    if model == "chip":
+        make = lambda probe: MultiCoreChip(ChipConfig(), probe=probe)
+        state = chip_state
+    else:
+        make = lambda probe: SingleCoreHierarchy(probe=probe)
+        state = hierarchy_state
+    arrays = _clock_arrays()
+    seed_probe = SimProbe(name="clock", sample_interval=1000)
+    seed = make(seed_probe)
+    seed.run(trace_accesses(arrays))
+
+    probe = SimProbe(name="clock", sample_interval=1000)
+    split = make(probe)
+    if mode == "arrays":
+        for part in (
+            tuple(a[:CLOCK_CUT] for a in arrays),
+            tuple(a[CLOCK_CUT:] for a in arrays),
+        ):
+            split.run_arrays(*part)
+        assert state(split) == state(seed)
+    else:
+        record = build_l1_filter(*arrays)
+        for part in _split_record(record, arrays[2], CLOCK_CUT):
+            split.run_filtered(part)
+        assert without_l1(state(split)) == without_l1(state(seed))
+    assert probe.now == len(arrays[0])
+    assert _report(probe) == _report(seed_probe)
+
+
+class _UnmodelledL1(SetAssociativeCache):
+    """An L1 type the miss-stream kernel does not model (it accepts
+    exact types only, since a subclass may override ``access``)."""
+
+
+def test_unmodelled_l1_type_runs_per_access():
+    arrays = _clock_arrays(n=3000)
+
+    def make():
+        chip = MultiCoreChip(ChipConfig())
+        chip.il1 = _UnmodelledL1(chip.il1.num_sets, chip.il1.ways)
+        chip.dl1 = _UnmodelledL1(chip.dl1.num_sets, chip.dl1.ways)
+        return chip
+
+    seed = make()
+    seed.run(trace_accesses(arrays))
+    batched = make()
+    batched.run_arrays(*arrays)
+    assert chip_state(batched) == chip_state(seed)

@@ -1,23 +1,23 @@
 """Audit of the ``_CHUNK`` (= 65536) boundary in the batched kernels.
 
-``run_arrays``/``build_l1_filter`` stream the trace in 64K-access
-chunks; an off-by-one at the chunk seam would corrupt exactly the
-traces whose length lands on the boundary.  This file pins lengths 0,
-1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1`` through both the fast
-regime (no probe — ``run_arrays`` takes the inline kernel,
-``run_filtered`` dispatches to the specialized generated kernel) and
-the generic regime (probe attached, which makes the fast path
-ineligible), and requires identical deep state between the two.  The
-tiny lengths are additionally compared against the seed per-access
-loop; the 64K lengths are not (a quarter-million per-access steps per
-case would dominate the suite for no extra seam coverage).
+The L1-filter stage behind ``run_arrays``/``build_l1_filter`` streams
+the trace in 64K-access chunks; an off-by-one at the chunk seam would
+corrupt exactly the traces whose length lands on the boundary.  This
+file pins lengths 0, 1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1``
+through both replays a record can take — the specialized generated
+kernel (no probe) and the generic record replay (probe attached, which
+makes the specialized kernel ineligible) — and requires identical deep
+state between the two.  The tiny lengths are additionally compared
+against the seed per-access loop; the 64K lengths are not (a
+quarter-million per-access steps per case would dominate the suite for
+no extra seam coverage).
 """
 
 import numpy as np
 import pytest
 
 from repro.caches.hierarchy import SingleCoreHierarchy
-from repro.kernels.batch import _CHUNK
+from repro.kernels.l1filter import _CHUNK
 from repro.kernels.l1filter import build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from tests.kernels.helpers import chip_state, hierarchy_state, without_l1

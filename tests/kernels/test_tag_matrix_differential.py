@@ -1,32 +1,25 @@
-"""Vectorized tag path vs its scalar reference twins.
+"""Vectorized tag path and specialized kernels vs the scalar reference.
 
-The population sweep only counts because the numpy tag machinery —
-:func:`~repro.kernels.arrays.set_index_array`,
-:func:`~repro.kernels.arrays.tag_array`,
-:func:`~repro.kernels.arrays.skew_slot_matrix`,
-:meth:`~repro.core.affinity_store.AffinityCache.slot_rows`, the chunked
-:meth:`~repro.caches.set_assoc.SetAssociativeCache.access_many`, and the
-specialized replay kernels built on top of them — is bit-identical to
-the scalar per-access loops it replaces.  The scalar code stays in the
-tree as the specification; this suite drives both sides over random
-geometries (skewed and set-associative, 1/2/4-way, shared and
-separately-shaped affinity stores) and compares deep-state digests,
-plus the ``_CHUNK`` seam lengths 0/1/65535/65536/65537 for the chunked
-set-index path.
+The specialized replay kernels are only worth having because they are
+bit-identical to the per-access object model, and they stand on the
+numpy tag machinery — :func:`~repro.kernels.arrays.set_index_array`,
+:func:`~repro.kernels.arrays.tag_array` and
+:func:`~repro.kernels.arrays.skew_slot_matrix`.  This suite drives the
+tag helpers against their scalar definitions, and the specialized
+kernels against the per-access model over random geometries (skewed
+L2s of 1/2/4 ways, 2- and 4-way controllers, shared and
+separately-shaped affinity stores, L2 filtering and sampling on and
+off), comparing deep-state digests.
 """
 
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
-from repro.caches.set_assoc import SetAssociativeCache, _CHUNK
 from repro.caches.skewed import skew_hash
-from repro.core.affinity_store import AffinityCache
 from repro.core.controller import ControllerConfig, SamplingPolicy
-from repro.kernels import batch
 from repro.kernels.arrays import set_index_array, skew_slot_matrix, tag_array
 from repro.kernels.l1filter import build_l1_filter
 from repro.kernels.specialize import (
@@ -35,9 +28,9 @@ from repro.kernels.specialize import (
 )
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from tests.kernels.helpers import (
-    cache_state,
     chip_state,
     hierarchy_state,
+    trace_accesses,
     without_l1,
 )
 
@@ -82,57 +75,8 @@ class TestTagArrays:
                     line, way, index_bits
                 )
 
-    @given(
-        lines=st.lists(st.integers(0, 4000), max_size=200),
-        entries=st.sampled_from([64, 256, 1024]),
-        ways=st.sampled_from([2, 4]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_affinity_slot_rows_match_scalar_probes(
-        self, lines, entries, ways
-    ):
-        store = AffinityCache(num_entries=entries, ways=ways)
-        rows = store.slot_rows(lines)
-        index_bits = store._index_bits
-        num_sets = store._num_sets
-        for i, line in enumerate(lines):
-            expected = [
-                way * num_sets + skew_hash(line, way, index_bits)
-                for way in range(ways)
-            ]
-            assert rows[i].tolist() == expected
-        # functional twin check: a written line is found in its row
-        for i, line in enumerate(lines[:32]):
-            store.write(line, i)
-            slot = store._find(line)
-            assert slot in rows[i].tolist()
-            assert store.read(line) == i
 
-
-def _seam_lines(n):
-    """Deterministic mixed line stream of exactly ``n`` entries
-    spanning more lines than the cache holds (hits, misses, evictions
-    and write-backs on both sides of any chunk seam)."""
-    index = np.arange(n, dtype=np.int64)
-    return ((index * 2654435761) % 997).tolist()
-
-
-@pytest.mark.parametrize(
-    "n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1],
-    ids=["0", "1", "chunk-1", "chunk", "chunk+1"],
-)
-@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
-def test_chunked_access_many_seams(n, write):
-    """The chunked set-index path is exact at every ``_CHUNK`` seam."""
-    lines = _seam_lines(n)
-    seed = SetAssociativeCache(64, 2)
-    hits = sum(seed.access(line, write=write) for line in lines)
-    chunked = SetAssociativeCache(64, 2)
-    assert chunked.access_many(lines, write=write) == hits
-    assert cache_state(chunked) == cache_state(seed)
-
-
-# -- specialized replay kernels vs their inline scalar twins ------------
+# -- specialized replay kernels vs the per-access model ----------------
 
 #: small L1s so short random traces still produce a dense miss stream
 _L1_SMALL = dict(il1_bytes=2048, dl1_bytes=2048, l1_ways=2)
@@ -163,7 +107,7 @@ chip_geometry = st.fixed_dictionaries(
 
 @given(geometry=chip_geometry)
 @settings(max_examples=12, deadline=None)
-def test_specialized_chip_matches_inline_twin(geometry):
+def test_specialized_chip_matches_per_access(geometry):
     caches = CoreCacheConfig(
         l2_bytes=geometry["l2_bytes"],
         l2_ways=geometry["l2_ways"],
@@ -189,21 +133,16 @@ def test_specialized_chip_matches_inline_twin(geometry):
     config = ChipConfig(
         num_cores=geometry["subsets"], caches=caches, controller=controller
     )
-    record = build_l1_filter(*_random_trace(geometry["seed"]), config=caches)
+    arrays = _random_trace(geometry["seed"])
+    record = build_l1_filter(*arrays, config=caches)
 
     specialized = MultiCoreChip(config)
     replay_chip_specialized(specialized, record)
-    twin = MultiCoreChip(config)
-    batch._replay_chip_fast(
-        twin,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
+    per_access = MultiCoreChip(config)
+    per_access.run(trace_accesses(arrays))
     # filtered replay never touches the chip's own L1 objects
     assert without_l1(chip_state(specialized)) == without_l1(
-        chip_state(twin)
+        chip_state(per_access)
     )
 
 
@@ -213,20 +152,15 @@ def test_specialized_chip_matches_inline_twin(geometry):
     l2_bytes=st.sampled_from([32 * 1024, 64 * 1024]),
 )
 @settings(max_examples=12, deadline=None)
-def test_specialized_hierarchy_matches_inline_twin(seed, l2_ways, l2_bytes):
+def test_specialized_hierarchy_matches_per_access(seed, l2_ways, l2_bytes):
     config = CoreCacheConfig(l2_bytes=l2_bytes, l2_ways=l2_ways, **_L1_SMALL)
-    record = build_l1_filter(*_random_trace(seed), config=config)
+    arrays = _random_trace(seed)
+    record = build_l1_filter(*arrays, config=config)
 
     specialized = SingleCoreHierarchy(config)
     replay_hierarchy_specialized(specialized, record)
-    twin = SingleCoreHierarchy(config)
-    batch._replay_hierarchy_fast(
-        twin,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
+    per_access = SingleCoreHierarchy(config)
+    per_access.run(trace_accesses(arrays))
     assert without_l1(hierarchy_state(specialized)) == without_l1(
-        hierarchy_state(twin)
+        hierarchy_state(per_access)
     )
